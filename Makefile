@@ -65,7 +65,7 @@ bench-phys:
 # records detections vs injected and the measured scrub overhead.
 bench-integrity:
 	$(GO) run ./cmd/swprof -ne 2 -nlev 4 -steps 6 -ranks 3 \
-	    -faults 'chaosflip:6@42' -recovery ladder \
+	    -faults 'chaosflip:6@42' \
 	    -scrub-every 1 -ckpt-generations 3 -dir bench
 
 # Kernel Cost parity: re-run the BENCH_9 configuration on the
@@ -80,7 +80,7 @@ kernel-parity:
 	    ./internal/exec/
 	mkdir -p parity-out
 	$(GO) run ./cmd/swprof -ne 2 -nlev 4 -steps 6 -ranks 3 \
-	    -faults 'chaosflip:6@42' -recovery ladder \
+	    -faults 'chaosflip:6@42' \
 	    -scrub-every 1 -ckpt-generations 3 -dir parity-out
 	$(GO) run ./cmd/benchtab -parity parity-out/BENCH_1.json -against bench/BENCH_9.json
 	$(GO) run ./cmd/benchtab -parity parity-out/BENCH_1.json \

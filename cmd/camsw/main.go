@@ -6,7 +6,7 @@
 //	camsw -ne 4 -nlev 8 -hours 24 -physics heldsuarez
 //	camsw -ne 4 -nlev 8 -hours 2 -parallel 4 -backend athread
 //	camsw -ne 4 -nlev 8 -hours 2 -parallel 2 -phys-workers 0
-//	camsw -ne 2 -nlev 8 -hours 1 -parallel 3 -faults chaos:6@42 -checkpoint-every 2 -recovery ladder -spares 1
+//	camsw -ne 2 -nlev 8 -hours 1 -parallel 3 -faults chaos:6@42 -checkpoint-every 2 -spares 1
 //
 // With -parallel N the full model — dynamics and the physics suite —
 // runs through the distributed driver (N simulated core groups, halo
@@ -69,9 +69,8 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "write a checkpoint file at the end")
 	history := flag.String("history", "", "write lat-lon history frames to this file")
 	faults := flag.String("faults", "", "fault-injection spec for -parallel, comma-separated: kill:R@OP, corrupt:R@OP, drop:R@OP, delay:R@OP:MS, flipState:R@OP, flipCheckpoint:R@OP, flipBuddy:R@OP, chaos:N@SEED, chaosflip:N@SEED")
-	ckEvery := flag.Int("checkpoint-every", 0, "with -parallel: checkpoint every N steps and auto-recover from faults (0 = no supervision)")
-	recovery := flag.String("recovery", "ladder", "with -checkpoint-every: recovery strategy: ladder (retransmit, then rebuild the failed rank from its buddy's in-memory copy, then global rollback) | global (rollback-only) | off")
-	spares := flag.Int("spares", 0, "with -recovery ladder: spare ranks available to replace permanently dead ranks (0 = shrink onto the survivors instead)")
+	ckEvery := flag.Int("checkpoint-every", 0, "with -parallel: checkpoint every N steps and auto-recover from faults through the recovery ladder — retransmit, then rebuild the failed rank from its buddy's in-memory copy, then global rollback (0 = no supervision)")
+	spares := flag.Int("spares", 0, "with -checkpoint-every: spare ranks available to replace permanently dead ranks (0 = shrink onto the survivors instead)")
 	obsOn := flag.Bool("obs", false, "collect and print the unified observability report (spans, counters, step report)")
 	tracePath := flag.String("trace", "", "write a Chrome about://tracing JSON trace to this file (implies -obs)")
 	dynWorkers := flag.Int("dyn-workers", 0, "with -parallel: intra-rank dynamics workers per rank (0 = adaptive: sized per rank from its element count, downshifting to serial on small ranks; 1 = serial; results are bit-identical for any value)")
@@ -93,12 +92,6 @@ func main() {
 	}
 	interrupted := watchSignals()
 
-	switch *recovery {
-	case "ladder", "global", "off":
-	default:
-		fmt.Fprintf(os.Stderr, "camsw: unknown -recovery %q (ladder|global|off)\n", *recovery)
-		os.Exit(2)
-	}
 	if *scrubEvery < 0 {
 		fmt.Fprintln(os.Stderr, "camsw: -scrub-every must be >= 0")
 		os.Exit(2)
@@ -108,7 +101,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *parallel > 0 {
-		runParallel(*ne, *nlev, *qsize, *hours, *parallel, *backendName, *phys, *faults, *ckEvery, *checkpoint, *recovery, *spares, probe, *tracePath, *dynWorkers, physReq, *scrubEvery, *ckptGenerations, interrupted)
+		runParallel(*ne, *nlev, *qsize, *hours, *parallel, *backendName, *phys, *faults, *ckEvery, *checkpoint, *spares, probe, *tracePath, *dynWorkers, physReq, *scrubEvery, *ckptGenerations, interrupted)
 		return
 	}
 	if *faults != "" || *ckEvery > 0 {
@@ -267,7 +260,7 @@ func finishObs(p *obs.Probe, tracePath string, in obs.ReportInput) {
 	}
 }
 
-func runParallel(ne, nlev, qsize int, hours float64, nranks int, backendName, physMode, faultSpec string, ckEvery int, ckPath, recoveryMode string, spares int, probe *obs.Probe, tracePath string, dynWorkers, physReq, scrubEvery, ckptGenerations int, interrupted func() bool) {
+func runParallel(ne, nlev, qsize int, hours float64, nranks int, backendName, physMode, faultSpec string, ckEvery int, ckPath string, spares int, probe *obs.Probe, tracePath string, dynWorkers, physReq, scrubEvery, ckptGenerations int, interrupted func() bool) {
 	var backend exec.Backend
 	switch backendName {
 	case "intel":
@@ -365,18 +358,13 @@ func runParallel(ne, nlev, qsize int, hours float64, nranks int, backendName, ph
 	start := time.Now()
 	var stats core.RunStats
 	done := 0
-	if ckEvery > 0 && recoveryMode != "off" {
+	if ckEvery > 0 {
 		rj := core.NewResilientJob(job)
 		rj.CheckpointEvery = ckEvery
 		rj.MaxRetries = 10
 		rj.DiskPath = ckPath
 		rj.Spares = spares
 		rj.Generations = ckptGenerations
-		if recoveryMode == "ladder" {
-			rj.Mode = core.ModeLadder
-		} else {
-			rj.Mode = core.ModeGlobal
-		}
 		rj.OnEvent = func(e core.RecoveryEvent) {
 			if e.Kind != "checkpoint" {
 				fmt.Printf("  recovery: %v\n", e)
@@ -400,8 +388,8 @@ func runParallel(ne, nlev, qsize int, hours float64, nranks int, backendName, ph
 			done += n
 		}
 		stats = agg.Run
-		fmt.Printf("  resilience (%s): %d ckpt, %d/%d retransmits recovered, %d localized, %d respawn, %d shrink, %d rollback, %.1f ms in recovery\n",
-			recoveryMode, agg.Checkpoints, agg.RetxRecovered, agg.RetxAttempts,
+		fmt.Printf("  resilience: %d ckpt, %d/%d retransmits recovered, %d localized, %d respawn, %d shrink, %d rollback, %.1f ms in recovery\n",
+			agg.Checkpoints, agg.RetxRecovered, agg.RetxAttempts,
 			agg.Localized, agg.Respawns, agg.Shrinks, agg.Rollbacks,
 			float64(agg.RecoveryNs)/1e6)
 		if agg.Poisoned+agg.Escalations > 0 {

@@ -8,7 +8,7 @@
 //	swprof -ne 2 -nlev 4 -steps 5 -ranks 2 -dir bench/
 //	swprof -ne 4 -nlev 8 -steps 10 -ranks 4 -trace prof.trace.json
 //	swprof -ne 4 -nlev 8 -steps 10 -ranks 2 -dyn-workers 4 -dir bench/
-//	swprof -ne 2 -nlev 4 -steps 6 -ranks 3 -faults chaos:4@42 -recovery ladder -dir bench/
+//	swprof -ne 2 -nlev 4 -steps 6 -ranks 3 -faults chaos:4@42 -dir bench/
 //	swprof -ne 3 -nlev 8 -steps 6 -ranks 2 -physics moist -phys-workers 0 -dir bench/
 //	swprof -ne 2 -nlev 4 -steps 6 -ranks 3 -faults chaosflip:6@42 -scrub-every 1 -ckpt-generations 3 -dir bench/
 //	swprof -validate bench/BENCH_1.json
@@ -70,8 +70,7 @@ func main() {
 	tracePath := flag.String("trace", "", "also write a combined Chrome trace to this file")
 	validate := flag.String("validate", "", "validate an existing BENCH_<n>.json and exit")
 	faults := flag.String("faults", "", "fault-injection spec per backend run (kill:R@OP, corrupt:R@OP, drop:R@OP, delay:R@OP:MS, flipState:R@OP, flipCheckpoint:R@OP, flipBuddy:R@OP, chaos:N@SEED, chaosflip:N@SEED); the run executes under supervision and the bench file records the recovery activity")
-	recovery := flag.String("recovery", "ladder", "with -faults: recovery strategy: ladder|global")
-	spares := flag.Int("spares", 0, "with -recovery ladder: spare ranks for replacing permanently dead ranks")
+	spares := flag.Int("spares", 0, "with -faults: spare ranks for replacing permanently dead ranks")
 	overlap := flag.Bool("overlap", true, "use the redesigned boundary-first exchange (§7.6); false selects the original blocking exchange")
 	requireOverlap := flag.Bool("require-overlap", false, "fail unless every backend run measured a comm/compute overlap ratio > 0 (needs -overlap and ranks > 1)")
 	scrubEvery := flag.Int("scrub-every", 0, "enable the SDC defenses: CRC-seal each rank's state every N steps and verify it at the next at-rest window, plus the mass/energy/tracer conservation ledger (0 = off; 1 is the only cadence that catches every resident flip before a checkpoint captures it)")
@@ -89,10 +88,6 @@ func main() {
 	}
 	if *steps < 1 || *ranks < 1 {
 		fmt.Fprintln(os.Stderr, "swprof: -steps and -ranks must be positive")
-		os.Exit(2)
-	}
-	if *recovery != "ladder" && *recovery != "global" {
-		fmt.Fprintf(os.Stderr, "swprof: unknown -recovery %q (ladder|global)\n", *recovery)
 		os.Exit(2)
 	}
 
@@ -161,7 +156,7 @@ func main() {
 		*ne, *nlev, *qsize, *steps, *ranks, dw, phys, len(backends))
 	run := runSpec{
 		cfg: cfg, ranks: *ranks, steps: *steps, dynWorkers: *dynWorkers,
-		overlap: *overlap, faults: *faults, recovery: *recovery, spares: *spares,
+		overlap: *overlap, faults: *faults, spares: *spares,
 		physMode: *physMode, suiteMode: suiteMode, physEvery: *physEvery, physReq: physReq,
 		scrubEvery: *scrubEvery, generations: *ckptGenerations,
 	}
@@ -184,8 +179,8 @@ func main() {
 		}
 	}
 	if rec := bench.Recovery; rec != nil {
-		fmt.Printf("  recovery (%s, all backends): %d/%d retransmits recovered, %d ckpt, %d localized, %d respawn, %d shrink, %d rollback, %.1f ms\n",
-			*recovery, rec.Retransmitted, rec.Retransmits, rec.Checkpoints,
+		fmt.Printf("  recovery (all backends): %d/%d retransmits recovered, %d ckpt, %d localized, %d respawn, %d shrink, %d rollback, %.1f ms\n",
+			rec.Retransmitted, rec.Retransmits, rec.Checkpoints,
 			rec.Localized, rec.Respawns, rec.Shrinks, rec.Rollbacks,
 			float64(rec.RecoveryWallNs)/1e6)
 	}
@@ -249,7 +244,6 @@ type runSpec struct {
 	dynWorkers int
 	overlap    bool
 	faults     string
-	recovery   string
 	spares     int
 	physMode   string
 	suiteMode  physics.SuiteMode
@@ -347,10 +341,6 @@ func runBackend(rs runSpec, b exec.Backend,
 		job.RecvTimeout = 2 * time.Second
 		job.CheckEvery = 1
 		rj := core.NewResilientJob(job)
-		rj.Mode = core.ModeGlobal
-		if rs.recovery == "ladder" {
-			rj.Mode = core.ModeLadder
-		}
 		rj.CheckpointEvery = 1
 		rj.MaxRetries = 10
 		rj.Spares = rs.spares

@@ -43,7 +43,6 @@ func main() {
 	ic := flag.String("ic", "vortex", "base initial condition: vortex|barowave")
 	perturb := flag.Float64("perturb", 0.01, "member IC perturbation amplitude, K")
 	seed := flag.Int64("seed", 42, "deterministic seed (perturbations, jitter, kills)")
-	recovery := flag.String("recovery", "ladder", "intra-member recovery: ladder|global")
 	spares := flag.Int("spares", 0, "spare ranks per member for ladder respawn")
 	faults := flag.String("faults", "", "mpirt fault spec injected inside each member's world")
 	kills := flag.String("kills", "", "injected member crashes: member@cycle,member@cycle,...")
@@ -91,7 +90,6 @@ func main() {
 		IC:              *ic,
 		PerturbAmp:      *perturb,
 		Seed:            *seed,
-		Recovery:        *recovery,
 		Spares:          *spares,
 		Faults:          *faults,
 		Kills:           plan,

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"os"
@@ -20,12 +19,10 @@ import (
 // exactly restorable (bit-for-bit restart, the climate-model
 // requirement).
 //
-// Version history:
-//   - v1: header + fields.
-//   - v2: header + fields + CRC32-C of all field bytes, so a truncated
-//     or bit-flipped restart file is rejected instead of silently
-//     seeding a run with corrupt initial conditions. v1 files are still
-//     readable (no payload verification possible).
+// The current format, v2, is header + fields + CRC32-C of all field
+// bytes, so a truncated or bit-flipped restart file is rejected instead
+// of silently seeding a run with corrupt initial conditions. v1 files
+// (header + fields, no CRC) cannot be verified and are rejected.
 //
 // SaveCheckpoint additionally fsyncs before the atomic rename: a crash
 // between rename and writeback must not leave a valid-looking name on
@@ -36,7 +33,7 @@ const (
 	checkpointVersion = 2
 )
 
-// ErrChecksum reports a v2 checkpoint whose payload does not match its
+// ErrChecksum reports a checkpoint whose payload does not match its
 // stored CRC (torn write, bit rot, truncated-then-padded file).
 var ErrChecksum = errors.New("core: checkpoint payload checksum mismatch")
 
@@ -83,10 +80,10 @@ func WriteCheckpoint(w io.Writer, st *dycore.State, step int) error {
 	return bw.Flush()
 }
 
-// ReadCheckpoint restores a state written by WriteCheckpoint (v2) or by
-// the v1 writer of earlier releases; the returned step lets the caller
-// resume the remap cadence. A v2 payload that fails its CRC is rejected
-// with ErrChecksum.
+// ReadCheckpoint restores a state written by WriteCheckpoint; the
+// returned step lets the caller resume the remap cadence. Any version
+// other than the current one is rejected, and a payload that fails its
+// CRC is rejected with ErrChecksum.
 func ReadCheckpoint(r io.Reader) (*dycore.State, int, error) {
 	br := bufio.NewReader(r)
 	var h checkpointHeader
@@ -96,8 +93,8 @@ func ReadCheckpoint(r io.Reader) (*dycore.State, int, error) {
 	if h.Magic != checkpointMagic {
 		return nil, 0, fmt.Errorf("core: not a checkpoint (magic %#x)", h.Magic)
 	}
-	if h.Version < 1 || h.Version > checkpointVersion {
-		return nil, 0, fmt.Errorf("core: checkpoint version %d unsupported", h.Version)
+	if h.Version != checkpointVersion {
+		return nil, 0, fmt.Errorf("core: checkpoint version %d unsupported (want %d)", h.Version, checkpointVersion)
 	}
 	// Bound every dimension before allocating: a corrupt or hostile
 	// header must produce an error, not an enormous allocation. The caps
@@ -113,12 +110,8 @@ func ReadCheckpoint(r io.Reader) (*dycore.State, int, error) {
 		return nil, 0, fmt.Errorf("core: checkpoint too large (%d values)", vals)
 	}
 	st := dycore.NewState(int(h.NElem), int(h.Np), int(h.Nlev), int(h.Qsize))
-	var crc hash.Hash32
-	var body io.Reader = br
-	if h.Version >= 2 {
-		crc = crc32.New(checkpointCRCTable)
-		body = io.TeeReader(br, crc)
-	}
+	crc := crc32.New(checkpointCRCTable)
+	body := io.TeeReader(br, crc)
 	for _, field := range stateFields(st) {
 		for _, e := range field {
 			if err := binary.Read(body, binary.LittleEndian, e); err != nil {
@@ -126,14 +119,12 @@ func ReadCheckpoint(r io.Reader) (*dycore.State, int, error) {
 			}
 		}
 	}
-	if crc != nil {
-		var want uint32
-		if err := binary.Read(br, binary.LittleEndian, &want); err != nil {
-			return nil, 0, fmt.Errorf("core: checkpoint crc: %w", err)
-		}
-		if got := crc.Sum32(); got != want {
-			return nil, 0, fmt.Errorf("%w: stored %#x, computed %#x", ErrChecksum, want, got)
-		}
+	var want uint32
+	if err := binary.Read(br, binary.LittleEndian, &want); err != nil {
+		return nil, 0, fmt.Errorf("core: checkpoint crc: %w", err)
+	}
+	if got := crc.Sum32(); got != want {
+		return nil, 0, fmt.Errorf("%w: stored %#x, computed %#x", ErrChecksum, want, got)
 	}
 	return st, int(h.Step), nil
 }

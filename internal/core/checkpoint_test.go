@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"swcam/internal/dycore"
@@ -91,10 +92,10 @@ func TestCheckpointRestartBitExact(t *testing.T) {
 }
 
 // writeCheckpointV1 emits the legacy (pre-CRC) format, as earlier
-// releases did, to pin backward compatibility.
+// releases did.
 func writeCheckpointV1(w io.Writer, st *dycore.State, step int) error {
 	h := struct {
-		Magic, Version                uint32
+		Magic, Version               uint32
 		NElem, Np, Nlev, Qsize, Step int64
 	}{0x53574341, 1, int64(st.NElem()), int64(st.Np), int64(st.Nlev), int64(st.Qsize), int64(step)}
 	if err := binary.Write(w, binary.LittleEndian, &h); err != nil {
@@ -110,8 +111,10 @@ func writeCheckpointV1(w io.Writer, st *dycore.State, step int) error {
 	return nil
 }
 
-// Version-1 files (no payload CRC) must stay readable bit-for-bit.
-func TestCheckpointReadsVersion1(t *testing.T) {
+// Version-1 files carry no payload CRC, so nothing could catch a torn
+// or bit-rotted one: the reader rejects them, naming the version,
+// instead of seeding a run with unverified state.
+func TestCheckpointRejectsVersion1(t *testing.T) {
 	cfg := testDycoreCfg(2, 4, 1)
 	s, err := dycore.NewSolver(cfg)
 	if err != nil {
@@ -123,15 +126,15 @@ func TestCheckpointReadsVersion1(t *testing.T) {
 	if err := writeCheckpointV1(&buf, st, 5); err != nil {
 		t.Fatal(err)
 	}
-	got, step, err := ReadCheckpoint(&buf)
-	if err != nil {
-		t.Fatalf("v1 checkpoint rejected: %v", err)
+	got, _, err := ReadCheckpoint(&buf)
+	if err == nil {
+		t.Fatal("v1 checkpoint accepted without CRC verification")
 	}
-	if step != 5 {
-		t.Errorf("step = %d", step)
+	if got != nil {
+		t.Error("rejected v1 checkpoint still returned a state")
 	}
-	if d := got.MaxAbsDiff(st); d != 0 {
-		t.Errorf("v1 round trip not bit-exact: %g", d)
+	if !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("rejection does not name the version: %v", err)
 	}
 }
 

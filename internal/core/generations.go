@@ -27,7 +27,7 @@ type ckptGeneration struct {
 	precip  float64               // TotalPrecip at capture (rewound with the step counter)
 	own     []*dycore.State       // per-rank own snapshots ("node-local memory")
 	seals   []*integrity.RankSeal // per-rank seals over own; entries nil when scrubbing is off
-	buddy   [][]float64           // buddy[r] = encoded copy of rank r held by rank (r+1)%n; nil in global mode
+	buddy   [][]float64           // buddy[r] = encoded copy of rank r held by rank (r+1)%n; entry nil once poisoned
 	audited bool                  // end-of-life audit already ran
 }
 
@@ -73,10 +73,17 @@ func (rj *ResilientJob) markPoisoned(rs *ResilientStats, g *ckptGeneration, rank
 // of rank r (local memory — the wire-shipping variant for a dead rank
 // is fetchBuddy).
 func (rj *ResilientJob) decodeBuddyCopy(g *ckptGeneration, r int) (*dycore.State, error) {
-	if g.buddy == nil || g.buddy[r] == nil {
+	if g.buddy[r] == nil {
 		return nil, fmt.Errorf("%w: no buddy copy of rank %d", ErrBuddySnapshot, r)
 	}
 	st, step, err := DecodeRankSnapshot(g.buddy[r])
+	return rj.checkBuddyCopy(g, r, st, step, err)
+}
+
+// checkBuddyCopy validates a decoded buddy replica of rank r against
+// generation g: the decode succeeded, the step matches, and the shape
+// fits rank r's plan.
+func (rj *ResilientJob) checkBuddyCopy(g *ckptGeneration, r int, st *dycore.State, step int, err error) (*dycore.State, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +121,7 @@ func (rj *ResilientJob) verifyGeneration(rs *ResilientStats, g *ckptGeneration) 
 		// Own copy gone or rotten: the buddy replica is the last copy.
 		healed, err := rj.decodeBuddyCopy(g, r)
 		if err != nil {
-			if g.buddy != nil && g.buddy[r] != nil {
+			if g.buddy[r] != nil {
 				rj.markPoisoned(rs, g, r, fmt.Errorf("buddy checkpoint copy: %w", err))
 				g.buddy[r] = nil
 			}
@@ -148,7 +155,7 @@ func (rj *ResilientJob) auditGeneration(rs *ResilientStats, g *ckptGeneration) {
 				g.own[r] = nil
 			}
 		}
-		if g.buddy != nil && g.buddy[r] != nil {
+		if g.buddy[r] != nil {
 			if _, step, err := DecodeRankSnapshot(g.buddy[r]); err != nil || step != g.step {
 				if err == nil {
 					err = fmt.Errorf("%w: buddy copy at step %d, want %d", ErrBuddySnapshot, step, g.step)

@@ -70,7 +70,6 @@ func TestLadderRoutesCorruptionToVerifiedRestore(t *testing.T) {
 		Add(mpirt.Fault{Rank: 0, AfterOp: cs.ops[0] / 3, Kind: mpirt.FlipState}).
 		Add(mpirt.Fault{Rank: 2, AfterOp: cs.ops[2] / 2, Kind: mpirt.FlipState})
 	rj := NewResilientJob(job)
-	rj.Mode = ModeLadder
 	rj.CheckpointEvery = 2
 	rj.MaxRetries = 8
 
@@ -110,7 +109,6 @@ func TestFlipChaosSoakDetectsEverythingBitIdentical(t *testing.T) {
 		job.Faults = plan
 		job.RecvTimeout = 2 * time.Second
 		rj := NewResilientJob(job)
-		rj.Mode = ModeLadder
 		rj.CheckpointEvery = 2
 		rj.Generations = 2
 		rj.MaxRetries = 25
@@ -150,46 +148,94 @@ func corruptGenOwn(g *ckptGeneration) {
 	*v = math.Float64frombits(math.Float64bits(*v) ^ (1 << 17))
 }
 
-// The poisoned-generation escalation matrix, case 1: the newest
-// generation rots in checkpoint memory, so a rollback must escalate to
-// the next-older (verified) generation and replay the extra steps.
-func TestRestoreEscalatesPastPoisonedGeneration(t *testing.T) {
-	cs := newChaosSetup(t)
+// poisonGen rots both copies of rank 1 in generation g — its own
+// snapshot and the buddy-held replica — so verification has nothing to
+// heal from and the generation is truly poisoned.
+func poisonGen(g *ckptGeneration) {
+	corruptGenOwn(g)
+	flipPayloadWord(g.buddy[1], int64(g.step))
+}
+
+// poisonedRingJob builds the escalation-matrix scenario: scrubbing on,
+// one resident-state flip on rank 2 late in the run — detected silent
+// corruption routes straight to the global rung (verified restore) —
+// and an OnEvent hook that poisons every generation as it is
+// checkpointed (all of them when all is set, else only the first
+// step-4 one).
+func (cs *chaosSetup) poisonedRingJob(t *testing.T, gens int, all bool) (*ResilientJob, *obs.Probe, map[*ckptGeneration]bool) {
+	t.Helper()
 	job, p := cs.integrityJob(t, 1)
 	job.Faults = mpirt.NewFaultPlan(cs.nranks).
-		Add(mpirt.Fault{Rank: 2, AfterOp: cs.ops[2] * 3 / 4, Kind: mpirt.KillRank})
+		Add(mpirt.Fault{Rank: 2, AfterOp: cs.ops[2] * 3 / 4, Kind: mpirt.FlipState})
 	rj := NewResilientJob(job)
 	rj.CheckpointEvery = 2
-	rj.Generations = 3
+	rj.Generations = gens
 	rj.MaxRetries = 5
-	corrupted := false
+	hit := map[*ckptGeneration]bool{}
 	rj.OnEvent = func(e RecoveryEvent) {
-		// Poison the newest generation right after the second checkpoint
-		// is captured; the kill later in the run forces a restore through
-		// it.
-		if e.Kind == "checkpoint" && e.Step == 4 && !corrupted {
-			corrupted = true
-			corruptGenOwn(rj.gens[0])
+		if e.Kind != "checkpoint" {
+			return
+		}
+		for _, g := range rj.gens {
+			if !hit[g] && (all || (g.step == 4 && len(hit) == 0)) {
+				hit[g] = true
+				poisonGen(g)
+			}
 		}
 	}
-	local := job.Scatter(cs.global)
-	rs, err := rj.Run(local, cs.steps)
+	return rj, p, hit
+}
+
+// assertFlipRouted checks the flip's rung: the scrubber detected it
+// and the failure detector never advanced (no localized rebuild,
+// respawn, or shrink — the rank is healthy, its bits rotted).
+func assertFlipRouted(t *testing.T, rs ResilientStats, p *obs.Probe) {
+	t.Helper()
+	if got := p.R().CounterValue("integrity.flips.state"); got != 1 {
+		t.Errorf("injected flips = %d, want 1", got)
+	}
+	if got := p.R().CounterValue("integrity.scrub.detections"); got < 1 {
+		t.Errorf("scrub never detected the flip: %v", rs.Events)
+	}
+	if rs.Localized+rs.Respawns+rs.Shrinks != 0 {
+		t.Errorf("corruption advanced the failure detector: %v", rs.Events)
+	}
+}
+
+// The poisoned-generation escalation matrix, case 1: the newest
+// generation rots in checkpoint memory (both copies of one rank), so
+// the verified restore a detected flip triggers must escalate to the
+// next-older generation and replay the extra steps.
+func TestRestoreEscalatesPastPoisonedGeneration(t *testing.T) {
+	cs := newChaosSetup(t)
+	rj, p, hit := cs.poisonedRingJob(t, 3, false)
+	rs, err := rj.Run(rj.Job.Scatter(cs.global), cs.steps)
 	if err != nil {
 		t.Fatalf("supervised run failed: %v (events: %v)", err, rs.Events)
 	}
-	if !corrupted {
-		t.Fatal("test never corrupted a generation (checkpoint cadence changed?)")
+	if len(hit) != 1 {
+		t.Fatalf("test poisoned %d generations, want 1 (checkpoint cadence changed?)", len(hit))
 	}
-	if rs.Poisoned < 1 || rs.Escalations < 1 {
-		t.Errorf("poisoned = %d, escalations = %d, want >= 1 each: %v", rs.Poisoned, rs.Escalations, rs.Events)
+	assertFlipRouted(t, rs, p)
+	if rs.Poisoned < 2 || rs.Escalations != 1 {
+		t.Errorf("poisoned = %d, escalations = %d, want >= 2 and 1: %v", rs.Poisoned, rs.Escalations, rs.Events)
 	}
-	if got := p.R().CounterValue("integrity.gen.escalations"); got < 1 {
-		t.Errorf("escalation counter = %d, want >= 1", got)
+	if got := p.R().CounterValue("integrity.gen.escalations"); got != 1 {
+		t.Errorf("escalation counter = %d, want 1", got)
 	}
-	if rs.Rollbacks < 1 {
-		t.Errorf("no rollback recorded: %v", rs.Events)
+	if rs.Rollbacks != 1 {
+		t.Errorf("rollbacks = %d, want 1: %v", rs.Rollbacks, rs.Events)
 	}
-	cs.assertBitIdentical(t, job.Gather(local))
+	var rolledTo []int
+	for _, e := range rs.Events {
+		if e.Kind == "rollback" {
+			rolledTo = append(rolledTo, e.Step)
+		}
+	}
+	if len(rolledTo) != 1 || rolledTo[0] != 2 {
+		t.Errorf("rolled back to steps %v, want [2] (past the poisoned step-4 generation)", rolledTo)
+	}
+	cs.assertBitIdentical(t, rj.Job.Gather(rj.States()))
 }
 
 // Case 2: every retained generation is poisoned, so the restore falls
@@ -197,37 +243,20 @@ func TestRestoreEscalatesPastPoisonedGeneration(t *testing.T) {
 // bit-identical.
 func TestRestoreFallsThroughPoisonedRingToDisk(t *testing.T) {
 	cs := newChaosSetup(t)
-	job, _ := cs.integrityJob(t, 1)
-	job.Faults = mpirt.NewFaultPlan(cs.nranks).
-		Add(mpirt.Fault{Rank: 2, AfterOp: cs.ops[2] * 3 / 4, Kind: mpirt.KillRank})
-	rj := NewResilientJob(job)
-	rj.CheckpointEvery = 2
-	rj.Generations = 2
-	rj.MaxRetries = 5
+	rj, p, _ := cs.poisonedRingJob(t, 2, true)
 	rj.DiskPath = filepath.Join(t.TempDir(), "fallthrough.ck")
-	hit := map[*ckptGeneration]bool{}
-	rj.OnEvent = func(e RecoveryEvent) {
-		if e.Kind == "checkpoint" {
-			for _, g := range rj.gens {
-				if !hit[g] {
-					hit[g] = true
-					corruptGenOwn(g)
-				}
-			}
-		}
-	}
-	local := job.Scatter(cs.global)
-	rs, err := rj.Run(local, cs.steps)
+	rs, err := rj.Run(rj.Job.Scatter(cs.global), cs.steps)
 	if err != nil {
 		t.Fatalf("supervised run failed: %v (events: %v)", err, rs.Events)
 	}
-	if rs.Escalations < 2 {
-		t.Errorf("escalations = %d, want >= 2 (both generations dropped): %v", rs.Escalations, rs.Events)
+	assertFlipRouted(t, rs, p)
+	if rs.Escalations != 2 {
+		t.Errorf("escalations = %d, want 2 (both generations dropped): %v", rs.Escalations, rs.Events)
 	}
-	if rs.Rollbacks < 1 {
-		t.Errorf("disk rung never fired: %v", rs.Events)
+	if rs.Rollbacks != 1 {
+		t.Errorf("rollbacks = %d, want 1 (the disk rung): %v", rs.Rollbacks, rs.Events)
 	}
-	cs.assertBitIdentical(t, job.Gather(local))
+	cs.assertBitIdentical(t, rj.Job.Gather(rj.States()))
 }
 
 // Case 3: every generation poisoned and no disk checkpoint — the
@@ -235,31 +264,18 @@ func TestRestoreFallsThroughPoisonedRingToDisk(t *testing.T) {
 // ErrCorrupt, not restore garbage and not hang.
 func TestRestoreGivesUpWhenEverythingIsPoisoned(t *testing.T) {
 	cs := newChaosSetup(t)
-	job, _ := cs.integrityJob(t, 1)
-	job.Faults = mpirt.NewFaultPlan(cs.nranks).
-		Add(mpirt.Fault{Rank: 2, AfterOp: cs.ops[2] * 3 / 4, Kind: mpirt.KillRank})
-	rj := NewResilientJob(job)
-	rj.CheckpointEvery = 2
-	rj.Generations = 2
-	rj.MaxRetries = 5
-	hit := map[*ckptGeneration]bool{}
-	rj.OnEvent = func(e RecoveryEvent) {
-		if e.Kind == "checkpoint" {
-			for _, g := range rj.gens {
-				if !hit[g] {
-					hit[g] = true
-					corruptGenOwn(g)
-				}
-			}
-		}
-	}
-	local := job.Scatter(cs.global)
-	rs, err := rj.Run(local, cs.steps)
+	rj, p, _ := cs.poisonedRingJob(t, 2, true)
+	rs, err := rj.Run(rj.Job.Scatter(cs.global), cs.steps)
 	if err == nil {
 		t.Fatalf("run claimed success with every checkpoint poisoned: %v", rs.Events)
 	}
 	if !errors.Is(err, integrity.ErrCorrupt) {
 		t.Errorf("diagnosis lost the corruption detail: %v", err)
+	}
+	assertFlipRouted(t, rs, p)
+	if rs.Escalations != 2 || rs.Rollbacks != 0 {
+		t.Errorf("escalations = %d, rollbacks = %d, want 2 and 0 (nothing left to restore): %v",
+			rs.Escalations, rs.Rollbacks, rs.Events)
 	}
 	kinds := map[string]bool{}
 	for _, e := range rs.Events {
@@ -278,7 +294,6 @@ func TestPreShipVerificationRepairsRottenSnapshot(t *testing.T) {
 	cs := newChaosSetup(t)
 	job, p := cs.integrityJob(t, 1)
 	rj := NewResilientJob(job)
-	rj.Mode = ModeLadder
 	rj.CheckpointEvery = 2
 	corrupted := false
 	rj.PreShipHook = func(rank int, enc []float64) {
@@ -308,7 +323,6 @@ func TestPreShipVerificationRefusesPersistentRot(t *testing.T) {
 	cs := newChaosSetup(t)
 	job, _ := cs.integrityJob(t, 1)
 	rj := NewResilientJob(job)
-	rj.Mode = ModeLadder
 	rj.MaxRetries = 0
 	rj.PreShipHook = func(rank int, enc []float64) {
 		if rank == 1 {
@@ -399,7 +413,6 @@ func TestIntegrityFaultFreeIsSilentAndBitIdentical(t *testing.T) {
 	cs := newChaosSetup(t)
 	job, p := cs.integrityJob(t, 1)
 	rj := NewResilientJob(job)
-	rj.Mode = ModeLadder
 	rj.CheckpointEvery = 2
 	rj.Generations = 3
 	local := job.Scatter(cs.global)

@@ -147,7 +147,6 @@ func TestOverlapMidExchangeFaultRecovery(t *testing.T) {
 			job.Faults = plan
 			job.RecvTimeout = 2 * time.Second
 			rj := NewResilientJob(job)
-			rj.Mode = ModeLadder
 			rj.CheckpointEvery = 1
 			rj.MaxRetries = 10
 			rj.Backoff = time.Millisecond

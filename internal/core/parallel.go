@@ -207,10 +207,19 @@ func (j *ParallelJob) Scatter(global *dycore.State) []*dycore.State {
 	return out
 }
 
-// Gather reassembles a global state from the per-rank locals.
+// Gather reassembles a global state from the per-rank locals. The
+// slice must match the job's current partition: after a shrink
+// recovery the caller's pre-shrink slice no longer does, and Gather
+// panics naming the mismatch instead of mixing two layouts.
 func (j *ParallelJob) Gather(local []*dycore.State) *dycore.State {
+	if len(local) != j.NRanks {
+		panic(fmt.Sprintf("core: Gather got %d local states for %d ranks — a stale slice from before a shrink recovery? gather ResilientJob.States()", len(local), j.NRanks))
+	}
 	g := dycore.NewState(j.Mesh.NElems(), j.Cfg.Np, j.Cfg.Nlev, j.Cfg.Qsize)
 	for r, st := range local {
+		if st.NElem() != len(j.Plans[r].Elems) {
+			panic(fmt.Sprintf("core: Gather got %d elements for rank %d, its plan owns %d — a stale slice from before a shrink recovery? gather ResilientJob.States()", st.NElem(), r, len(j.Plans[r].Elems)))
+		}
 		for le, ge := range j.Plans[r].Elems {
 			copy(g.U[ge], st.U[le])
 			copy(g.V[ge], st.V[le])

@@ -217,14 +217,16 @@ func TestJobPhysicsChunkPanicFailsCleanly(t *testing.T) {
 // The precipitation accumulator must rewind with the state on recovery:
 // a supervised run that loses a chunk to a physics panic and replays it
 // must end with exactly the fault-free TotalPrecip — without the rewind
-// the burned attempt's rain is double-counted.
+// the burned attempt's rain is double-counted. The panic is attributed
+// to rank 0, so the rung that handles it is a localized rebuild, which
+// rewinds the accumulator exactly as a global rollback does.
 func TestResilientRewindsPrecipOnRollback(t *testing.T) {
 	cfg := testDycoreCfg(3, 8, 2)
 	global, err := randomizedGlobal(cfg, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(inject bool) (uint64, float64, int) {
+	run := func(inject bool) (uint64, float64, ResilientStats) {
 		job, err := NewParallelJob(cfg, exec.Intel, true, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -250,15 +252,16 @@ func TestResilientRewindsPrecipOnRollback(t *testing.T) {
 		if err != nil {
 			t.Fatalf("inject=%v: supervised run failed: %v", inject, err)
 		}
-		return hashGlobal(job.Gather(local)), job.TotalPrecip, rs.Rollbacks
+		return hashGlobal(job.Gather(rj.States())), job.TotalPrecip, rs
 	}
 	refHash, refPrecip, _ := run(false)
 	if refPrecip <= 0 {
 		t.Fatal("fault-free run produced no precipitation")
 	}
-	h, p, rollbacks := run(true)
-	if rollbacks == 0 {
-		t.Fatal("injected physics panic caused no rollback — the test exercised nothing")
+	h, p, rs := run(true)
+	if rs.Localized != 1 || rs.Rollbacks+rs.Respawns+rs.Shrinks != 0 {
+		t.Fatalf("physics panic handled by localized:%d rollbacks:%d respawns:%d shrinks:%d, want one localized rebuild: %v",
+			rs.Localized, rs.Rollbacks, rs.Respawns, rs.Shrinks, rs.Events)
 	}
 	if h != refHash {
 		t.Errorf("recovered state hash %016x, want fault-free %016x", h, refHash)

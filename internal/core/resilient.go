@@ -10,16 +10,9 @@ import (
 	"swcam/internal/mpirt"
 )
 
-// ResilientJob supervises a ParallelJob through faults. Two supervision
-// modes are available:
-//
-// ModeGlobal (the default, and the original design): periodic in-memory
-// checkpoints of every rank's state; any abort — an injected kill, a
-// corrupted or lost message, a blowup caught by the watchdog, a rank
-// panic — rolls the whole world back to the last checkpoint and replays.
-//
-// ModeLadder: a three-rung escalation that localizes recovery instead of
-// always paying the global bill.
+// ResilientJob supervises a ParallelJob through faults with periodic
+// verified checkpoints and a three-rung escalation that localizes
+// recovery instead of always paying the global bill.
 //
 //  1. Bounded retransmission (mpirt.RetryPolicy): a corrupted or lost
 //     message is re-pulled from the sender-side log with exponential
@@ -36,22 +29,22 @@ import (
 //     shrink recovery: its elements are repartitioned over the
 //     survivors along the space-filling curve and the run continues on
 //     n-1 ranks at reduced throughput.
-//  3. Global rollback, the PR-1 path, as the fallback rung: blowups
-//     (every rank's state is suspect, nobody's memory was lost),
-//     unattributable faults, and lost/undecodable buddy copies fall
-//     back to restoring everything — from own snapshots when they
-//     survive, else from the disk checkpoint when DiskPath is set.
+//  3. Global rollback as the fallback rung: blowups (every rank's state
+//     is suspect, nobody's memory was lost), unattributable faults, and
+//     lost/undecodable buddy copies fall back to restoring everything —
+//     from own snapshots when they survive, else from the disk
+//     checkpoint when DiskPath is set.
 //
-// Both modes retain up to Generations verified checkpoint generations
-// (generations.go): every restore target is re-verified against its
-// CRC-32C seals before a bit is copied back, rotten own copies heal
-// from buddy replicas, and a poisoned generation escalates to the
-// next-older one instead of restoring garbage. Detected silent data
-// corruption (the at-rest scrubber, the invariant ledger, a pre-ship
-// snapshot verification — all wrapping integrity.ErrCorrupt) routes to
-// verified restore directly: the rank is healthy, its bits rotted, so
-// it would be wrong to advance the failure detector toward declaring
-// it dead.
+// The supervisor retains up to Generations verified checkpoint
+// generations (generations.go): every restore target is re-verified
+// against its CRC-32C seals before a bit is copied back, rotten own
+// copies heal from buddy replicas, and a poisoned generation escalates
+// to the next-older one instead of restoring garbage. Detected silent
+// data corruption (the at-rest scrubber, the invariant ledger, a
+// pre-ship snapshot verification — all wrapping integrity.ErrCorrupt)
+// routes to verified restore directly: the rank is healthy, its bits
+// rotted, so it would be wrong to advance the failure detector toward
+// declaring it dead.
 //
 // Because the dycore, the DSS, and the mass fixer are deterministic and
 // partition-invariant, every rung — including shrink onto fewer ranks —
@@ -65,8 +58,11 @@ import (
 type ResilientJob struct {
 	Job *ParallelJob
 
-	// Mode selects the supervision strategy: ModeGlobal (default, also
-	// the zero value) or ModeLadder.
+	// Mode is ignored: the ladder above is the only supervisor, and
+	// global rollback is its third rung.
+	//
+	// Deprecated: kept only so existing assignments of ModeLadder still
+	// compile; nothing reads it.
 	Mode string
 
 	// CheckpointEvery is the number of steps between checkpoints
@@ -120,7 +116,7 @@ type ResilientJob struct {
 	// simulates a snapshot rotting between encode and ship.
 	PreShipHook func(rank int, enc []float64)
 
-	// Ladder bookkeeping.
+	// Supervisor bookkeeping.
 	local       []*dycore.State   // states under supervision (shrink replaces the slice)
 	gens        []*ckptGeneration // verified checkpoint ring, newest first (generations.go)
 	suspectRank int               // rank of the most recent attributed failure
@@ -129,11 +125,10 @@ type ResilientJob struct {
 	diskPrecip  float64           // TotalPrecip at that disk checkpoint
 }
 
-// Supervision modes.
-const (
-	ModeGlobal = "global"
-	ModeLadder = "ladder"
-)
+// ModeLadder is the historical value of the Mode field.
+//
+// Deprecated: the ladder is the only supervisor; see ResilientJob.Mode.
+const ModeLadder = "ladder"
 
 // RecoveryEvent describes one supervisor decision, for diagnostics.
 type RecoveryEvent struct {
@@ -176,16 +171,16 @@ type ResilientStats struct {
 }
 
 // NewResilientJob wraps a ParallelJob with default supervision
-// (global mode, checkpoint every step, 3 retries, no backoff,
-// in-memory only, one retained generation).
+// (checkpoint every step, 3 retries, no backoff, no spares, in-memory
+// only, one retained generation).
 func NewResilientJob(job *ParallelJob) *ResilientJob {
 	return &ResilientJob{Job: job, CheckpointEvery: 1, MaxRetries: 3}
 }
 
 // States returns the state slice currently under supervision. It aliases
 // the slice passed to Run until a shrink recovery replaces it (the world
-// lost a rank, so the slice length changed); ladder-mode callers must
-// gather results via States() rather than the slice they passed in.
+// lost a rank, so the slice length changed); callers must gather
+// results via States() rather than the slice they passed in.
 func (rj *ResilientJob) States() []*dycore.State { return rj.local }
 
 // snapshot deep-copies the per-rank states.
@@ -233,10 +228,10 @@ func (rj *ResilientJob) rewindTo(g *ckptGeneration) {
 
 // takeCheckpoint captures a new verified generation of the supervised
 // states — own snapshots (CRC-sealed when scrubbing is on), the buddy
-// exchange in ladder mode, the disk copy when DiskPath is set — and
-// pushes it onto the retention ring. Injected checkpoint-copy flips
-// land after the seals and the exchange are taken, so the seals always
-// witness the clean bits.
+// exchange, the disk copy when DiskPath is set — and pushes it onto the
+// retention ring. Injected checkpoint-copy flips land after the seals
+// and the exchange are taken, so the seals always witness the clean
+// bits.
 func (rj *ResilientJob) takeCheckpoint(rs *ResilientStats, step int) error {
 	sp := rj.Job.Obs.T().Begin(0, "core.checkpoint", "model")
 	defer sp.End()
@@ -255,10 +250,8 @@ func (rj *ResilientJob) takeCheckpoint(rs *ResilientStats, step int) error {
 		reg.Counter("integrity.scrub.seals").Add(int64(len(g.own)))
 		reg.Counter("integrity.scrub.ns").Add(time.Since(t0).Nanoseconds())
 	}
-	if rj.Mode == ModeLadder {
-		if err := rj.exchangeBuddies(rs, g); err != nil {
-			return err
-		}
+	if err := rj.exchangeBuddies(rs, g); err != nil {
+		return err
 	}
 	rj.injectCheckpointFlips(g)
 	rj.pushGeneration(rs, g)
@@ -283,7 +276,7 @@ func (rj *ResilientJob) injectCheckpointFlips(g *ckptGeneration) {
 			reg.Counter("integrity.flips.checkpoint").Add(1)
 			rj.Job.Obs.T().Instant(0, "integrity.flipCheckpoint rank"+fmt.Sprint(r)+" "+desc, "fault")
 		}
-		if g.buddy != nil && g.buddy[r] != nil {
+		if g.buddy[r] != nil {
 			if f := plan.FireIntegrity(r, mpirt.FlipBuddy); f != nil {
 				flipPayloadWord(g.buddy[r], faultKey(f))
 				reg.Counter("integrity.flips.buddy").Add(1)
@@ -291,100 +284,6 @@ func (rj *ResilientJob) injectCheckpointFlips(g *ckptGeneration) {
 			}
 		}
 	}
-}
-
-// Run advances the local states n steps under supervision. On success
-// the states hold exactly what a fault-free ParallelJob.Run would have
-// produced (bit-identical: every rung restores checkpointed bits and the
-// replay is deterministic). On retry-budget exhaustion the states hold
-// the last good checkpoint and the returned error wraps the final
-// fault; the stats' Events list is the full recovery history either way.
-// In ladder mode a shrink recovery replaces the supervised slice — read
-// results via States().
-func (rj *ResilientJob) Run(local []*dycore.State, n int) (ResilientStats, error) {
-	if rj.Mode == ModeLadder {
-		return rj.runLadder(local, n)
-	}
-	rj.local = local
-	every := rj.CheckpointEvery
-	if every < 1 {
-		every = 1
-	}
-	var rs ResilientStats
-	rs.Run.Cost.Backend = rj.Job.Backend
-
-	if err := rj.takeCheckpoint(&rs, rj.Job.StepCount()); err != nil {
-		return rs, err
-	}
-	target := rj.Job.StepCount() + n
-	retries := 0
-	attempt := 0
-	backoff := rj.Backoff
-
-	for rj.Job.StepCount() < target {
-		chunk := every
-		if left := target - rj.Job.StepCount(); left < chunk {
-			chunk = left
-		}
-		stats, err := rj.Job.RunChecked(local, chunk)
-		rs.Run.Halo.Add(stats.Halo)
-		rs.Run.Cost.Add(stats.Cost)
-		rs.RetxAttempts += stats.RetxAttempts
-		rs.RetxRecovered += stats.RetxRecovered
-		if err == nil {
-			// Close the final at-rest window before capturing: a flip on
-			// the chunk's last step must never reach a checkpoint.
-			err = rj.Job.ScrubVerifyLive(local)
-		}
-		if err == nil {
-			attempt = 0
-			backoff = rj.Backoff
-			step := rj.Job.StepCount()
-			if cerr := rj.takeCheckpoint(&rs, step); cerr != nil {
-				if !errors.Is(cerr, integrity.ErrCorrupt) {
-					return rs, cerr
-				}
-				err = cerr // corrupt capture: recover below
-			} else {
-				rs.Checkpoints++
-				rs.Events = append(rs.Events, RecoveryEvent{Kind: "checkpoint", Step: step, Rank: -1})
-				rj.event(rs.Events[len(rs.Events)-1])
-				continue
-			}
-		}
-
-		attempt++
-		if retries >= rj.MaxRetries {
-			// Graceful degradation: hand back the last state known good
-			// and the full diagnosis instead of a corrupt field set.
-			t0 := time.Now()
-			rj.bestEffortRestore(&rs)
-			rj.addRecoveryNs(&rs, t0)
-			rj.auditAllGenerations(&rs)
-			ev := RecoveryEvent{Kind: "giveup", Step: rj.checkpointStep(), Attempt: attempt, Rank: -1, Err: err}
-			rs.Events = append(rs.Events, ev)
-			rj.event(ev)
-			return rs, fmt.Errorf("core: retry budget (%d) exhausted at step %d (best-effort state restored): %w",
-				rj.MaxRetries, rj.checkpointStep(), err)
-		}
-		retries++
-		if backoff > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-		// The failed chunk's steps are burned work: they get replayed
-		// from the checkpoint on the next attempt.
-		rj.Job.Obs.R().Counter("core.recovery.replayed_steps").Add(int64(chunk))
-		t0 := time.Now()
-		rerr := rj.restoreVerified(&rs, attempt, err)
-		rj.addRecoveryNs(&rs, t0)
-		if rerr != nil {
-			return rs, rerr
-		}
-	}
-	rj.auditAllGenerations(&rs)
-	rs.Run.Steps = rj.Job.StepCount()
-	return rs, nil
 }
 
 // deadAfterN returns the escalation threshold with its default applied.
@@ -395,10 +294,15 @@ func (rj *ResilientJob) deadAfterN() int {
 	return rj.DeadAfter
 }
 
-// runLadder is Run in ModeLadder: bounded retransmission underneath,
-// partner-replicated checkpoints for localized recovery, respawn/shrink
-// for permanent deaths, verified global rollback as the fallback rung.
-func (rj *ResilientJob) runLadder(local []*dycore.State, n int) (ResilientStats, error) {
+// Run advances the local states n steps under supervision. On success
+// the states hold exactly what a fault-free ParallelJob.Run would have
+// produced (bit-identical: every rung restores checkpointed bits and the
+// replay is deterministic). On retry-budget exhaustion the states hold
+// the last good checkpoint and the returned error wraps the final
+// fault; the stats' Events list is the full recovery history either way.
+// A shrink recovery replaces the supervised slice — read results via
+// States().
+func (rj *ResilientJob) Run(local []*dycore.State, n int) (ResilientStats, error) {
 	every := rj.CheckpointEvery
 	if every < 1 {
 		every = 1
@@ -437,6 +341,8 @@ func (rj *ResilientJob) runLadder(local []*dycore.State, n int) (ResilientStats,
 		rs.RetxAttempts += stats.RetxAttempts
 		rs.RetxRecovered += stats.RetxRecovered
 		if err == nil {
+			// Close the final at-rest window before capturing: a flip on
+			// the chunk's last step must never reach a checkpoint.
 			err = rj.Job.ScrubVerifyLive(rj.local)
 		}
 		if err == nil {
@@ -459,6 +365,8 @@ func (rj *ResilientJob) runLadder(local []*dycore.State, n int) (ResilientStats,
 
 		attempt++
 		if retries >= rj.MaxRetries {
+			// Graceful degradation: hand back the last state known good
+			// and the full diagnosis instead of a corrupt field set.
 			t0 := time.Now()
 			rj.bestEffortRestore(&rs)
 			rj.addRecoveryNs(&rs, t0)
@@ -474,6 +382,8 @@ func (rj *ResilientJob) runLadder(local []*dycore.State, n int) (ResilientStats,
 			time.Sleep(backoff)
 			backoff *= 2
 		}
+		// The failed chunk's steps are burned work: they get replayed
+		// from the checkpoint on the next attempt.
 		rj.Job.Obs.R().Counter("core.recovery.replayed_steps").Add(int64(chunk))
 		t0 := time.Now()
 		rerr := rj.recoverLadder(&rs, attempt, err)
@@ -585,14 +495,17 @@ func (rj *ResilientJob) bestEffortRestore(rs *ResilientStats) {
 	}
 }
 
-// localizedRestore rebuilds a single failed rank from its buddy's
-// in-memory copy while the survivors restore their own re-verified
-// snapshots. kind is "localized" (suspect rebuild in place) or
-// "respawn" (permanently dead rank replaced from a spare — same data
-// path, different ledger).
-func (rj *ResilientJob) localizedRestore(rs *ResilientStats, kind string, faulty, attempt int, cause error) error {
+// rebuildFromBuddy replaces the failed rank's lost own copy in the
+// newest generation with its buddy replica and re-verifies the whole
+// generation — survivors' own copies sat in memory since the
+// checkpoint, so they are re-verified (and healed from buddies if
+// rotten) before any of them is restored. It returns the generation,
+// ready to restore, or nil after handing the failure to the global
+// rung, whose outcome is then the returned error. what names the
+// caller in diagnostics ("localized", "shrink").
+func (rj *ResilientJob) rebuildFromBuddy(rs *ResilientStats, what string, faulty, attempt int, cause error) (*ckptGeneration, error) {
 	if len(rj.gens) == 0 {
-		return rj.globalFallback(rs, attempt, cause)
+		return nil, rj.globalFallback(rs, attempt, cause)
 	}
 	g := rj.gens[0]
 	// The failed process's memory is gone: drop its own snapshot first
@@ -600,24 +513,34 @@ func (rj *ResilientJob) localizedRestore(rs *ResilientStats, kind string, faulty
 	g.own[faulty] = nil
 	st, err := rj.fetchBuddy(rs, g, faulty)
 	if err != nil {
-		if g.buddy != nil && g.buddy[faulty] != nil {
+		if g.buddy[faulty] != nil {
 			rj.markPoisoned(rs, g, faulty, fmt.Errorf("buddy checkpoint copy: %w", err))
 			g.buddy[faulty] = nil
 		}
-		return rj.restoreVerified(rs, attempt,
-			fmt.Errorf("core: localized recovery of rank %d failed: %w (original fault: %w)", faulty, err, cause))
+		return nil, rj.restoreVerified(rs, attempt,
+			fmt.Errorf("core: %s recovery of rank %d failed: %w (original fault: %w)", what, faulty, err, cause))
 	}
 	g.own[faulty] = st
 	if g.seals[faulty] != nil {
 		g.seals[faulty] = integrity.SealState(st, g.step)
 	}
-	// Survivors' own copies sat in memory since the checkpoint — they
-	// are re-verified (and healed from buddies if rotten) before any of
-	// them is restored.
 	if verr := rj.verifyGeneration(rs, g); verr != nil {
 		rj.dropPoisonedGeneration(rs, g)
-		return rj.restoreVerified(rs, attempt,
-			fmt.Errorf("core: localized recovery of rank %d found a poisoned generation: %w (original fault: %w)", faulty, verr, cause))
+		return nil, rj.restoreVerified(rs, attempt,
+			fmt.Errorf("core: %s recovery of rank %d found a poisoned generation: %w (original fault: %w)", what, faulty, verr, cause))
+	}
+	return g, nil
+}
+
+// localizedRestore rebuilds a single failed rank from its buddy's
+// in-memory copy while the survivors restore their own re-verified
+// snapshots. kind is "localized" (suspect rebuild in place) or
+// "respawn" (permanently dead rank replaced from a spare — same data
+// path, different ledger).
+func (rj *ResilientJob) localizedRestore(rs *ResilientStats, kind string, faulty, attempt int, cause error) error {
+	g, err := rj.rebuildFromBuddy(rs, "localized", faulty, attempt, cause)
+	if g == nil {
+		return err
 	}
 	sp := rj.Job.Obs.T().Begin(0, "core."+kind, "model")
 	restore(rj.local, g.own)
@@ -643,28 +566,9 @@ func (rj *ResilientJob) localizedRestore(rs *ResilientStats, kind string, faulty
 // restore the new world, so the ring is audited out and restarted with
 // a fresh checkpoint on the reduced layout.
 func (rj *ResilientJob) shrinkRestore(rs *ResilientStats, dead, attempt int, cause error) error {
-	if len(rj.gens) == 0 {
-		return rj.globalFallback(rs, attempt, cause)
-	}
-	g := rj.gens[0]
-	g.own[dead] = nil
-	st, err := rj.fetchBuddy(rs, g, dead)
-	if err != nil {
-		if g.buddy != nil && g.buddy[dead] != nil {
-			rj.markPoisoned(rs, g, dead, fmt.Errorf("buddy checkpoint copy: %w", err))
-			g.buddy[dead] = nil
-		}
-		return rj.restoreVerified(rs, attempt,
-			fmt.Errorf("core: shrink recovery of rank %d failed: %w (original fault: %w)", dead, err, cause))
-	}
-	g.own[dead] = st
-	if g.seals[dead] != nil {
-		g.seals[dead] = integrity.SealState(st, g.step)
-	}
-	if verr := rj.verifyGeneration(rs, g); verr != nil {
-		rj.dropPoisonedGeneration(rs, g)
-		return rj.restoreVerified(rs, attempt,
-			fmt.Errorf("core: shrink recovery of rank %d found a poisoned generation: %w (original fault: %w)", dead, verr, cause))
+	g, err := rj.rebuildFromBuddy(rs, "shrink", dead, attempt, cause)
+	if g == nil {
+		return err
 	}
 	sp := rj.Job.Obs.T().Begin(0, "core.shrink", "model")
 	gstate := rj.Job.Gather(g.own) // pre-shrink plans: checkpoint-time global state
@@ -803,9 +707,6 @@ func (rj *ResilientJob) exchangeBuddies(rs *ResilientStats, g *ckptGeneration) e
 	})
 	rs.BuddyBytes += w.TotalBytes()
 	if err != nil {
-		if errors.Is(err, integrity.ErrCorrupt) {
-			return fmt.Errorf("core: buddy replication at step %d: %w", g.step, err)
-		}
 		return fmt.Errorf("core: buddy replication at step %d: %w", g.step, err)
 	}
 	enc := make([][]float64, n)
@@ -823,52 +724,38 @@ func (rj *ResilientJob) exchangeBuddies(rs *ResilientStats, g *ckptGeneration) e
 // CRC, the checkpoint step, and the shape expected by the failed rank's
 // plan.
 func (rj *ResilientJob) fetchBuddy(rs *ResilientStats, g *ckptGeneration, faulty int) (*dycore.State, error) {
-	if g.buddy == nil || g.buddy[faulty] == nil {
-		return nil, fmt.Errorf("%w: no buddy copy of rank %d", ErrBuddySnapshot, faulty)
-	}
 	enc := g.buddy[faulty]
 	n := rj.Job.NRanks
 	host := (faulty + 1) % n
+	if enc == nil || host == faulty {
+		return rj.decodeBuddyCopy(g, faulty)
+	}
 	var st *dycore.State
 	var step int
 	var derr error
-	if host == faulty {
-		st, step, derr = DecodeRankSnapshot(enc)
-	} else {
-		w := mpirt.NewWorld(n)
-		w.SetTracer(rj.Job.Obs.T())
-		err := w.Run(func(c *mpirt.Comm) {
-			switch c.Rank() {
-			case host:
-				c.Send(faulty, tagBuddySize, []float64{float64(len(enc))})
-				c.Send(faulty, tagBuddyData, enc)
-			case faulty:
-				sz := make([]float64, 1)
-				c.Recv(host, tagBuddySize, sz)
-				buf := make([]float64, int(sz[0]))
-				c.Recv(host, tagBuddyData, buf)
-				st, step, derr = DecodeRankSnapshot(buf)
-			}
-			// The recovery barrier: survivors wait here until the
-			// rebuilt rank has its state back.
-			c.Barrier()
-		})
-		rs.BuddyBytes += w.TotalBytes()
-		if err != nil {
-			return nil, err
+	w := mpirt.NewWorld(n)
+	w.SetTracer(rj.Job.Obs.T())
+	err := w.Run(func(c *mpirt.Comm) {
+		switch c.Rank() {
+		case host:
+			c.Send(faulty, tagBuddySize, []float64{float64(len(enc))})
+			c.Send(faulty, tagBuddyData, enc)
+		case faulty:
+			sz := make([]float64, 1)
+			c.Recv(host, tagBuddySize, sz)
+			buf := make([]float64, int(sz[0]))
+			c.Recv(host, tagBuddyData, buf)
+			st, step, derr = DecodeRankSnapshot(buf)
 		}
+		// The recovery barrier: survivors wait here until the
+		// rebuilt rank has its state back.
+		c.Barrier()
+	})
+	rs.BuddyBytes += w.TotalBytes()
+	if err != nil {
+		return nil, err
 	}
-	if derr != nil {
-		return nil, derr
-	}
-	if step != g.step {
-		return nil, fmt.Errorf("%w: buddy copy of rank %d at step %d, want %d", ErrBuddySnapshot, faulty, step, g.step)
-	}
-	if st.NElem() != rj.local[faulty].NElem() {
-		return nil, fmt.Errorf("%w: buddy copy of rank %d has %d elements, want %d",
-			ErrBuddySnapshot, faulty, st.NElem(), rj.local[faulty].NElem())
-	}
-	return st, nil
+	return rj.checkBuddyCopy(g, faulty, st, step, derr)
 }
 
 // persist writes the gathered global state to DiskPath, if configured,

@@ -205,7 +205,6 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		"cycle_steps": c.CycleSteps,
 		"ranks":       c.Ranks,
 		"ic":          c.IC,
-		"recovery":    c.Recovery,
 		"perturb_amp": c.PerturbAmp,
 		"seed":        c.Seed,
 	})

@@ -99,9 +99,6 @@ type Config struct {
 	// restart jitter, injected kills.
 	Seed int64
 
-	// Recovery selects the intra-member supervision mode for transport
-	// faults: "ladder" (default) or "global" (see core.ResilientJob).
-	Recovery   string
 	MaxRetries int    // intra-member retry budget per cycle (default 10)
 	Spares     int    // spare ranks for ladder respawn
 	Faults     string // mpirt fault spec injected inside each member's world
@@ -143,9 +140,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.PerturbAmp == 0 {
 		out.PerturbAmp = 0.01
-	}
-	if out.Recovery == "" {
-		out.Recovery = "ladder"
 	}
 	if out.MaxRetries < 1 {
 		out.MaxRetries = 10
@@ -285,11 +279,6 @@ func (m *Member) build(from *dycore.State, step int) error {
 	rj.CheckpointEvery = m.cfg.CycleSteps
 	rj.MaxRetries = m.cfg.MaxRetries
 	rj.Spares = m.cfg.Spares
-	if m.cfg.Recovery == "global" {
-		rj.Mode = core.ModeGlobal
-	} else {
-		rj.Mode = core.ModeLadder
-	}
 	src := m.base
 	if from != nil {
 		src = from
@@ -460,11 +449,6 @@ func NewSupervisor(cfg Config, probe *obs.Probe) (*Supervisor, error) {
 	c := cfg.withDefaults()
 	if err := c.Dycore.Validate(); err != nil {
 		return nil, err
-	}
-	switch c.Recovery {
-	case "ladder", "global":
-	default:
-		return nil, fmt.Errorf("serve: unknown recovery mode %q (ladder|global)", c.Recovery)
 	}
 	solver, err := dycore.NewSolver(c.Dycore)
 	if err != nil {
